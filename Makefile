@@ -41,7 +41,7 @@ EXEC_ALLOC_CEILING ?= 130000
 # micro-benchmarks (executor, obs substrate, LSM) plus the E25/E27
 # observability, E29 overload-governance, E30 anomaly-alert and E33
 # plan-cache reproductions, with live metrics, a sample EXPLAIN ANALYZE
-# profile, the smoke workload's slow-query log, the cancel-to-stop/
+# profile, the smoke workload's statement statistics, the cancel-to-stop/
 # overload-shedding measurements, the telemetry sampler/scrape
 # overheads, the streaming-vs-materialize allocation comparison (with
 # the allocs/op regression gate), and the plan-cache hit-path
@@ -54,7 +54,7 @@ bench-smoke: vet
 	$(GO) test -run='^$$' -bench='BenchmarkE(2[5789]|3[0-3])' -benchtime=1x . | tee -a BENCH_smoke.txt
 	$(GO) test -run='^$$' -bench='BenchmarkML' -benchtime=1x . | tee -a BENCH_smoke.txt
 	$(GO) run ./cmd/aidb-bench -e E25 -metrics BENCH_metrics.json > /dev/null
-	$(GO) run ./cmd/aidb-bench -e E27 -explain BENCH_explain.txt -slowlog BENCH_slowlog.json > /dev/null
+	$(GO) run ./cmd/aidb-bench -e E27 -explain BENCH_explain.txt -statements BENCH_statements.json > /dev/null
 	$(GO) run ./cmd/aidb-bench -bench-cancel BENCH_cancel.json
 	$(GO) run ./cmd/aidb-bench -bench-obs BENCH_obs.json
 	$(GO) run ./cmd/aidb-bench -bench-stats BENCH_stats.json

@@ -259,7 +259,7 @@ func benchObs(path string) error {
 
 // smokeDB drives a short instrumented smoke workload — DDL, DML, plain
 // SELECTs and an EXPLAIN ANALYZE — on a fresh DB and returns it with
-// metrics, trace, slow-query log and profile populated.
+// metrics, trace, statement statistics and profile populated.
 func smokeDB() (*core.DB, *exec.Result, error) {
 	db := core.Open()
 	script := `CREATE TABLE m (a INT, b INT);
@@ -324,9 +324,10 @@ func dumpExplain(path string) error {
 	return err
 }
 
-// dumpSlowLog writes the smoke workload's slow-query log as JSON to
-// path ("-" = stdout). CI uploads it as BENCH_slowlog.json.
-func dumpSlowLog(path string) error {
+// dumpStatements writes the smoke workload's per-fingerprint statement
+// statistics as JSON to path ("-" = stdout). CI uploads it as
+// BENCH_statements.json.
+func dumpStatements(path string) error {
 	db, _, err := smokeDB()
 	if err != nil {
 		return err
@@ -336,7 +337,8 @@ func dumpSlowLog(path string) error {
 		return err
 	}
 	defer done()
-	return db.WriteSlowLogJSON(w)
+	_, err = db.Engine().Stmts().WriteJSONTo(w)
+	return err
 }
 
 func main() {
@@ -346,7 +348,7 @@ func main() {
 		ablations = flag.Bool("a", false, "run the design-choice ablations (A1..A5) instead of the matrix")
 		metrics   = flag.String("metrics", "", "after the run, dump live metrics from a smoke workload to this path ('-' = stdout, '.json' suffix = JSON)")
 		explain   = flag.String("explain", "", "after the run, dump a sample EXPLAIN ANALYZE profile from a smoke workload to this path ('-' = stdout)")
-		slowlog   = flag.String("slowlog", "", "after the run, dump the smoke workload's slow-query log as JSON to this path ('-' = stdout)")
+		stmts     = flag.String("statements", "", "after the run, dump the smoke workload's per-fingerprint statement statistics as JSON to this path ('-' = stdout)")
 		benchExec = flag.String("bench-exec", "", "instead of experiments, time serial-vs-parallel execution and write JSON to this path ('-' = stdout)")
 		allocCap  = flag.Int64("alloc-ceiling", 0, "with -bench-exec: fail when the 100k scan-filter pipeline's streaming allocs/op exceeds this (0 disables)")
 		benchML   = flag.String("bench-ml", "", "instead of experiments, time batched-vs-per-row ML kernels and write JSON to this path ('-' = stdout)")
@@ -424,7 +426,7 @@ func main() {
 	}{
 		{"metrics", *metrics, dumpMetrics},
 		{"explain", *explain, dumpExplain},
-		{"slowlog", *slowlog, dumpSlowLog},
+		{"statements", *stmts, dumpStatements},
 	}
 	for _, d := range dumps {
 		if d.path == "" {

@@ -7,7 +7,7 @@
 //	EVALUATE MODEL m ON t;
 //
 // Type \q to quit, \h for help. With -serve ADDR the shell also exposes
-// live telemetry (metrics, time series, slow log, traces, alerts,
+// live telemetry (metrics, time series, statements, traces, alerts,
 // pprof) over HTTP while it runs.
 package main
 
@@ -35,7 +35,6 @@ const help = `Statements end with ';'. Supported:
   EXPLAIN ANALYZE SELECT ...;   per-operator est vs actual rows, time, morsel/worker counts
 Meta: \q quit, \h help, \prepared list prepared statements,
       \metrics live metric counters, \trace last query's span tree,
-      \slowlog captured query log (latency, fingerprint, profile, chaos fires),
       \alerts KPI anomaly alerts (telemetry sampler runs when -serve is set),
       \sys list system.* tables; \sys NAME shorthand for SELECT * FROM system.NAME,
       \sys statements top fingerprints by total latency (the statement statistics store),
@@ -92,14 +91,6 @@ func main() {
 				fmt.Print(tr)
 			} else {
 				fmt.Println("no query traced yet")
-			}
-			prompt()
-			continue
-		case `\slowlog`:
-			if dump := db.SlowLog().Dump(); dump != "" {
-				fmt.Print(dump)
-			} else {
-				fmt.Println("slow-query log is empty")
 			}
 			prompt()
 			continue

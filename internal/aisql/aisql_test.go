@@ -71,6 +71,40 @@ func TestUpdateDelete(t *testing.T) {
 	}
 }
 
+// TestUpdateDeleteErrorsLeaveTableUnchanged: a DML statement whose SET
+// or WHERE cannot be evaluated fails like the equivalent SELECT does,
+// and an error part-way through the scan applies none of its changes.
+func TestUpdateDeleteErrorsLeaveTableUnchanged(t *testing.T) {
+	e := NewEngine()
+	e.Execute("CREATE TABLE t (a INT, b INT)")
+	e.Execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+	contents := func() string {
+		t.Helper()
+		res, err := e.Execute("SELECT a, b FROM t ORDER BY a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	want := contents()
+	for _, stmt := range []string{
+		"SELECT a FROM t WHERE nosuch = 1",
+		"UPDATE t SET a = nosuch",
+		"UPDATE t SET zz = 5",
+		"DELETE FROM t WHERE nosuch = 1",
+		"UPDATE t SET a = 'x'",                 // coercion error
+		"UPDATE t SET b = 10 / (a - 2)",        // fails on the second row
+		"DELETE FROM t WHERE 10 / (a - 3) > 0", // fails on the third row
+	} {
+		if _, err := e.Execute(stmt); err == nil {
+			t.Errorf("%s: no error", stmt)
+		}
+		if got := contents(); got != want {
+			t.Fatalf("%s changed the table: %s, want %s", stmt, got, want)
+		}
+	}
+}
+
 func TestCreateModelAndPredictInSQL(t *testing.T) {
 	e := NewEngine()
 	seedChurn(t, e, 400)

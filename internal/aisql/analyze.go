@@ -23,8 +23,8 @@ import (
 //     spans, so \trace shows per-operator timings;
 //   - every operator's (estimated, actual) cardinality pair is recorded
 //     on e.Feedback, feeding the learned-estimator feedback loop;
-//   - the slow-query log entry carries the full profile summary and any
-//     chaos faults that fired during the run.
+//   - the statement store's exemplar for the fingerprint carries the
+//     full profile summary and any chaos faults that fired during the run.
 func (e *Engine) explainAnalyze(ctx context.Context, s *sql.SelectStmt, sp *obs.Span, text string) (*exec.Result, error) {
 	start := time.Now()
 	chaosBefore := e.Chaos.FireCounts()
@@ -49,7 +49,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, s *sql.SelectStmt, sp *obs.
 	prof.AttachSpans(esp)
 	esp.Finish()
 	if err != nil {
-		e.recordFailure(text, "EXPLAIN ANALYZE SELECT", plan.Fingerprint(p), time.Since(start), err)
+		e.record(text, "EXPLAIN ANALYZE SELECT", plan.Fingerprint(p), time.Since(start), nil, err, "", nil)
 		return nil, err
 	}
 	latency := time.Since(start)
@@ -75,6 +75,6 @@ func (e *Engine) explainAnalyze(ctx context.Context, s *sql.SelectStmt, sp *obs.
 			op.PeakBytes(),
 		})
 	})
-	e.recordSlow(text, "EXPLAIN ANALYZE SELECT", plan.Fingerprint(p), latency, res, prof.Summary(), chaosBefore)
+	e.record(text, "EXPLAIN ANALYZE SELECT", plan.Fingerprint(p), latency, res, nil, prof.Summary(), chaosBefore)
 	return out, nil
 }

@@ -197,37 +197,38 @@ func TestExplainAnalyzeFeedback(t *testing.T) {
 }
 
 // TestSlowLogCapturesQueries checks plain and profiled SELECTs land in
-// the slow-query log with fingerprint and latency, and that a repeated
-// plan shape folds into one entry (occurrence count, first-seen text)
-// that the EXPLAIN ANALYZE run enriches with the profile summary.
+// the statement store with fingerprint and latency, and that a repeated
+// plan shape folds into one entry (call count, first-seen text) whose
+// exemplar the EXPLAIN ANALYZE run enriches with the profile summary.
 func TestSlowLogCapturesQueries(t *testing.T) {
 	e, _ := analyzeEngine(t, 500)
-	start := e.SlowLog().Len()
+	start := e.Stmts().Len()
 	if _, err := e.Execute("SELECT a FROM big WHERE b < 10"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Execute("EXPLAIN ANALYZE SELECT a FROM big WHERE b < 10"); err != nil {
 		t.Fatal(err)
 	}
-	es := e.SlowLog().Entries()
-	if len(es)-start != 1 {
-		t.Fatalf("slowlog grew by %d entries, want 1 (same fingerprint folds)", len(es)-start)
+	if grew := e.Stmts().Len() - start; grew != 1 {
+		t.Fatalf("store grew by %d entries, want 1 (same fingerprint folds)", grew)
 	}
-	entry := es[len(es)-1]
-	if entry.Count != 2 {
-		t.Errorf("occurrence count = %d, want 2", entry.Count)
+	var entry obs.StatementStat
+	for _, s := range e.Stmts().Snapshot() {
+		if strings.Contains(s.Fingerprint, "Scan(big)") {
+			entry = s
+		}
 	}
-	if entry.LastSeq != entry.Seq+1 {
-		t.Errorf("first/last seen = #%d/#%d, want consecutive seqs", entry.Seq, entry.LastSeq)
+	if entry.Calls != 2 {
+		t.Fatalf("Scan(big) entry calls = %d, want 2: %+v", entry.Calls, entry)
 	}
-	if !strings.Contains(entry.Fingerprint, "Scan(big)") {
-		t.Errorf("fingerprint %q missing Scan(big)", entry.Fingerprint)
+	if entry.LastSeenNs < entry.FirstSeenNs {
+		t.Errorf("first/last seen = %d/%d out of order", entry.FirstSeenNs, entry.LastSeenNs)
 	}
 	if !strings.Contains(entry.Profile, "Scan big") {
 		t.Errorf("EXPLAIN ANALYZE fold missing profile:\n%q", entry.Profile)
 	}
-	if entry.LatencyNs <= 0 || entry.MaxLatencyNs < entry.LatencyNs {
-		t.Errorf("latency not tracked: last=%d max=%d", entry.LatencyNs, entry.MaxLatencyNs)
+	if entry.LastLatencyNs <= 0 || entry.MaxNs < entry.LastLatencyNs {
+		t.Errorf("latency not tracked: last=%d max=%d", entry.LastLatencyNs, entry.MaxNs)
 	}
 	if !strings.HasPrefix(entry.Query, "SELECT") {
 		t.Errorf("canonical query text = %q, want first-seen SELECT", entry.Query)
@@ -235,8 +236,8 @@ func TestSlowLogCapturesQueries(t *testing.T) {
 }
 
 // TestSlowLogChaosAttribution is the chaos-interplay check: when a
-// fault fires during a query, the slow-query entry names the site and
-// fire count; quiet queries carry no chaos annotation.
+// fault fires during a query, the statement's exemplar names the site
+// and fire count; quiet queries carry no chaos annotation.
 func TestSlowLogChaosAttribution(t *testing.T) {
 	tr := obs.NewTracer(4)
 	e := NewEngine()
@@ -257,16 +258,19 @@ func TestSlowLogChaosAttribution(t *testing.T) {
 		if _, err := e.Execute("SELECT a FROM t WHERE a > 0"); err != nil {
 			t.Fatal(err)
 		}
-		es := e.SlowLog().Entries()
-		last := es[len(es)-1]
-		if n := last.ChaosFires[exec.SiteExecScan]; n > 0 {
+		snap := e.Stmts().Snapshot()
+		if len(snap) != 1 || snap[0].Calls != uint64(i+1) {
+			t.Fatalf("query %d: store = %+v, want one entry with %d calls", i, snap, i+1)
+		}
+		fires := snap[0].ChaosFires
+		if n := fires[exec.SiteExecScan]; n > 0 {
 			withFault++
 			if n != 1 {
 				t.Errorf("query %d attributed %d fires, want 1", i, n)
 			}
 		} else {
-			if len(last.ChaosFires) != 0 {
-				t.Errorf("query %d has spurious chaos annotation %v", i, last.ChaosFires)
+			if len(fires) != 0 {
+				t.Errorf("query %d has spurious chaos annotation %v", i, fires)
 			}
 			without++
 		}

@@ -69,14 +69,13 @@ type Engine struct {
 	parseErrors *obs.Counter
 	parses      *obs.Counter
 	planBuilds  *obs.Counter
-	slowlog     *obs.SlowQueryLog
 	stmtstats   *obs.StatementStats
 }
 
 // Instrument wires the engine — and every executor it creates — to the
-// observability registry and tracer, and attaches a slow-query log
-// (capture-everything by default; raise its Threshold to filter). Either
-// argument may be nil to disable that half; call before serving queries.
+// observability registry and tracer, and attaches the per-fingerprint
+// statement store that captures every executed SELECT. Either argument
+// may be nil to disable that half; call before serving queries.
 func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	e.tracer = tr
 	e.execObs = exec.NewMetrics(reg)
@@ -88,17 +87,12 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	// cache's "no parser, no planner on the hot path" claim is asserted.
 	e.parses = reg.Counter("sql.parses")
 	e.planBuilds = reg.Counter("plan.builds")
-	e.slowlog = obs.NewSlowQueryLog(0, 0)
 	e.stmtstats = obs.NewStatementStats(0)
 }
 
-// SlowLog returns the engine's slow-query log (nil when the engine is
-// uninstrumented).
-func (e *Engine) SlowLog() *obs.SlowQueryLog { return e.slowlog }
-
 // Stmts returns the engine's per-fingerprint statement statistics store
 // (nil when the engine is uninstrumented). It is the source behind
-// system.statements and the /statements endpoint.
+// system.statements, system.slow_queries and the /statements endpoint.
 func (e *Engine) Stmts() *obs.StatementStats { return e.stmtstats }
 
 // RecordShed folds one admission-gate rejection into the statement
@@ -321,7 +315,7 @@ func (e *Engine) ExecuteStmtContext(ctx context.Context, stmt sql.Statement) (*e
 // executeStmt dispatches one parsed statement, attaching child spans to
 // sp (which may be nil when tracing is off). text is the raw query text
 // when the statement came in through Execute, "" for pre-parsed
-// statements — the slow-query log falls back to the statement kind.
+// statements — the statement store falls back to the statement kind.
 // parseNs is what parsing the statement cost (0 when pre-parsed); it
 // folds into the plan-cache entry's PlanNs so each hit's banked saving
 // covers the whole skipped pipeline.
@@ -621,81 +615,47 @@ func (e *Engine) execPlan(ctx context.Context, p plan.Node, fp string, sp *obs.S
 	}
 	res, err := ex.RunContext(ctx, p)
 	esp.Finish()
-	if err == nil {
-		e.recordSlow(text, "SELECT", fp, time.Since(start), res, "", chaosBefore)
-	} else {
-		e.recordFailure(text, "SELECT", fp, time.Since(start), err)
-	}
+	e.record(text, "SELECT", fp, time.Since(start), res, err, "", chaosBefore)
 	return res, err
 }
 
-// recordSlow files one slow-query log entry and folds the execution
-// into the statement-statistics store, attributing any chaos faults
-// that fired between the before snapshot and now to this query. No-op
-// when the engine is uninstrumented.
-func (e *Engine) recordSlow(text, kind, fp string, latency time.Duration, res *exec.Result, profile string, chaosBefore map[string]uint64) {
-	if e.slowlog == nil {
-		return
-	}
-	if text == "" {
-		text = kind
-	}
-	e.stmtstats.Record(obs.StmtObservation{
-		Fingerprint: fp,
-		Query:       text,
-		Outcome:     obs.StmtOK,
-		LatencyNs:   latency.Nanoseconds(),
-		Rows:        int64(len(res.Rows)),
-		Chunks:      res.Chunks,
-		PeakBytes:   res.PeakBytes,
-	})
-	rows := len(res.Rows)
-	var fires map[string]uint64
-	if after := e.Chaos.FireCounts(); after != nil {
-		for site, n := range after {
-			if d := n - chaosBefore[site]; d > 0 {
-				if fires == nil {
-					fires = make(map[string]uint64)
-				}
-				fires[site] = d
-			}
-		}
-	}
-	e.slowlog.Record(obs.SlowLogEntry{
-		Query:       text,
-		Fingerprint: fp,
-		LatencyNs:   latency.Nanoseconds(),
-		Rows:        int64(rows),
-		Profile:     profile,
-		ChaosFires:  fires,
-	})
-}
-
-// recordFailure folds a failed execution into the statement-statistics
-// store, classifying the outcome: cancellations (context cancel or
-// deadline), load-management rejections (memory budget), and plain
-// errors are counted separately per fingerprint. The slow-query log
-// keeps its successful-executions-only semantics.
-func (e *Engine) recordFailure(text, kind, fp string, latency time.Duration, err error) {
+// record folds one statement execution into the statement store. The
+// outcome is classified from err: cancellations (context cancel or
+// deadline), load-management rejections (memory budget, shedding) and
+// plain errors count separately per fingerprint. A successful run also
+// reports its rows, profile and the chaos faults that fired since
+// chaosBefore, attributing chaos-injected latency to the statement that
+// absorbed it. No-op when the engine is uninstrumented.
+func (e *Engine) record(text, kind, fp string, latency time.Duration, res *exec.Result, err error, profile string, chaosBefore map[string]uint64) {
 	if e.stmtstats == nil {
 		return
 	}
 	if text == "" {
 		text = kind
 	}
-	outcome := obs.StmtError
+	o := obs.StmtObservation{Fingerprint: fp, Query: text, LatencyNs: latency.Nanoseconds()}
 	switch {
+	case err == nil:
+		o.Rows = int64(len(res.Rows))
+		o.Chunks = res.Chunks
+		o.PeakBytes = res.PeakBytes
+		o.Profile = profile
+		for site, n := range e.Chaos.FireCounts() {
+			if d := n - chaosBefore[site]; d > 0 {
+				if o.ChaosFires == nil {
+					o.ChaosFires = make(map[string]uint64)
+				}
+				o.ChaosFires[site] = d
+			}
+		}
 	case exec.IsCancellation(err):
-		outcome = obs.StmtCancel
+		o.Outcome = obs.StmtCancel
 	case errors.Is(err, governance.ErrMemBudget), errors.Is(err, governance.ErrShed):
-		outcome = obs.StmtShed
+		o.Outcome = obs.StmtShed
+	default:
+		o.Outcome = obs.StmtError
 	}
-	e.stmtstats.Record(obs.StmtObservation{
-		Fingerprint: fp,
-		Query:       text,
-		Outcome:     outcome,
-		LatencyNs:   latency.Nanoseconds(),
-	})
+	e.stmtstats.Record(o)
 }
 
 func (e *Engine) update(s *sql.UpdateStmt, params []catalog.Value) (*exec.Result, error) {
@@ -703,41 +663,53 @@ func (e *Engine) update(s *sql.UpdateStmt, params []catalog.Value) (*exec.Result
 	if err != nil {
 		return nil, err
 	}
+	for col := range s.Set {
+		if t.Schema.ColIndex(col) < 0 {
+			return nil, fmt.Errorf("aisql: unknown column %q in table %s", col, t.Name)
+		}
+	}
 	scope := exec.NewScopeParams(schemaNames(t), params)
 	type change struct {
 		rid    storage.RecordID
 		oldRow catalog.Row
 		row    catalog.Row
 	}
+	// Changes are collected before any is applied, so an evaluation
+	// error stops the scan with the table untouched.
 	var changes []change
+	var evalErr error
 	scanErr := t.Scan(func(rid storage.RecordID, row catalog.Row) bool {
 		if s.Where != nil {
 			ok, err := exec.EvalBool(s.Where, scope, row, e.funcs())
-			if err != nil || !ok {
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			if !ok {
 				return true
 			}
 		}
 		newRow := append(catalog.Row{}, row...)
 		for col, ex := range s.Set {
 			idx := t.Schema.ColIndex(col)
-			if idx < 0 {
-				return true
-			}
 			v, err := exec.Eval(ex, scope, row, e.funcs())
-			if err != nil {
-				return true
+			if err == nil {
+				v, err = coerce(v, t.Schema.Columns[idx].Type)
 			}
-			cv, err := coerce(v, t.Schema.Columns[idx].Type)
 			if err != nil {
-				return true
+				evalErr = err
+				return false
 			}
-			newRow[idx] = cv
+			newRow[idx] = v
 		}
 		changes = append(changes, change{rid, row, newRow})
 		return true
 	})
 	if scanErr != nil {
 		return nil, scanErr
+	}
+	if evalErr != nil {
+		return nil, evalErr
 	}
 	for _, ch := range changes {
 		if err := t.Delete(ch.rid); err != nil {
@@ -764,10 +736,15 @@ func (e *Engine) delete(s *sql.DeleteStmt, params []catalog.Value) (*exec.Result
 		row catalog.Row
 	}
 	var victims []victim
+	var evalErr error
 	scanErr := t.Scan(func(rid storage.RecordID, row catalog.Row) bool {
 		if s.Where != nil {
 			ok, err := exec.EvalBool(s.Where, scope, row, e.funcs())
-			if err != nil || !ok {
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			if !ok {
 				return true
 			}
 		}
@@ -776,6 +753,9 @@ func (e *Engine) delete(s *sql.DeleteStmt, params []catalog.Value) (*exec.Result
 	})
 	if scanErr != nil {
 		return nil, scanErr
+	}
+	if evalErr != nil {
+		return nil, evalErr
 	}
 	for _, v := range victims {
 		if err := t.Delete(v.rid); err != nil {

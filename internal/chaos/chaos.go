@@ -395,9 +395,10 @@ func (in *Injector) Fires(site string) uint64 {
 }
 
 // FireCounts returns per-site totals of fired faults (sites that never
-// fired are absent). The slow-query log diffs two snapshots taken
-// around a query to attribute chaos-injected latency to the statement
-// that absorbed it. Nil map on a nil injector.
+// fired are absent). The engine diffs two snapshots taken around a
+// query and records the difference in the statement store's exemplar,
+// attributing chaos-injected latency to the statement that absorbed
+// it. Nil map on a nil injector.
 func (in *Injector) FireCounts() map[string]uint64 {
 	if in == nil {
 		return nil

@@ -170,7 +170,6 @@ func (db *DB) Telemetry() *obs.Telemetry {
 	return &obs.Telemetry{
 		Registry:   db.reg,
 		Series:     db.series,
-		SlowLog:    db.engine.SlowLog(),
 		Tracer:     db.tracer,
 		Alerts:     db.alerts,
 		Statements: db.engine.Stmts(),
@@ -218,15 +217,6 @@ func (db *DB) Parallelism() int { return db.engine.Parallelism }
 // WriteMetrics writes the text exposition of every registered metric.
 func (db *DB) WriteMetrics(w io.Writer) error {
 	_, err := db.reg.WriteTo(w)
-	return err
-}
-
-// SlowLog exposes the engine's slow-query log.
-func (db *DB) SlowLog() *obs.SlowQueryLog { return db.engine.SlowLog() }
-
-// WriteSlowLogJSON dumps the slow-query log as a JSON array.
-func (db *DB) WriteSlowLogJSON(w io.Writer) error {
-	_, err := db.engine.SlowLog().WriteJSONTo(w)
 	return err
 }
 

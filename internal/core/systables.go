@@ -73,23 +73,29 @@ func (db *DB) registerSystemTables() {
 		},
 	})
 
+	// system.slow_queries projects the same snapshot onto the
+	// successful executions: one row per fingerprint that has any, with
+	// the latest success's latency and rows (the exemplar). max_latency_ns
+	// and the seen times span every execution of the fingerprint.
 	register(&catalog.FuncTable{
 		QName: "system.slow_queries",
 		Cols: catalog.Schema{Columns: []catalog.Column{
-			intCol("seq"), intCol("last_seq"), intCol("count"),
+			intCol("first_seen_ns"), intCol("last_seen_ns"), intCol("count"),
 			txtCol("query"), txtCol("fingerprint"),
 			intCol("latency_ns"), intCol("max_latency_ns"), intCol("rows"),
 		}},
-		Est: func() int { return db.engine.SlowLog().Len() },
+		Est: func() int { return db.engine.Stmts().Len() },
 		Fetch: func() ([]catalog.Row, error) {
-			entries := db.engine.SlowLog().Entries()
-			rows := make([]catalog.Row, len(entries))
-			for i, e := range entries {
-				rows[i] = catalog.Row{
-					int64(e.Seq), int64(e.LastSeq), int64(e.Count),
-					e.Query, e.Fingerprint,
-					e.LatencyNs, e.MaxLatencyNs, e.Rows,
+			var rows []catalog.Row
+			for _, s := range db.engine.Stmts().Snapshot() {
+				if s.OK() == 0 {
+					continue
 				}
+				rows = append(rows, catalog.Row{
+					s.FirstSeenNs, s.LastSeenNs, int64(s.OK()),
+					s.Query, s.Fingerprint,
+					s.LastLatencyNs, s.MaxNs, s.LastRows,
+				})
 			}
 			return rows, nil
 		},

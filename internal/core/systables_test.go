@@ -90,7 +90,8 @@ func TestSystemStatementsMatchesStore(t *testing.T) {
 
 // TestSystemTablesFiltersAggregatesJoin exercises the acceptance query
 // shapes — WHERE filters, aggregates, and a join across system.*
-// tables — and cross-checks each against direct store reads.
+// tables — and cross-checks each against direct store reads; the join
+// checks system.slow_queries against its source, system.statements.
 func TestSystemTablesFiltersAggregatesJoin(t *testing.T) {
 	db := sysWorkloadDB(t)
 
@@ -123,22 +124,41 @@ func TestSystemTablesFiltersAggregatesJoin(t *testing.T) {
 		t.Fatalf("settings filter = %v, want [[3]]", res.Rows)
 	}
 
-	// Join system.statements to system.slow_queries on fingerprint: both
-	// stores observe the same executions, so every slow-log fingerprint
-	// must find its statistics row with call counts agreeing. (Snapshot
-	// the expectation first — the join query itself is only recorded
-	// after it finishes, so its own scans won't see it.)
-	slowEntries := db.SlowLog().Entries()
-	res, err = db.Exec("SELECT s.fingerprint, s.calls, q.count FROM system.statements s JOIN system.slow_queries q ON s.fingerprint = q.fingerprint")
+	// system.slow_queries is a view over the statement store: joined to
+	// system.statements on fingerprint, every row must agree with its
+	// source row, count the successful calls only, and carry the store's
+	// exemplar. A fingerprint whose only execution failed must not
+	// appear. (Snapshot the expectation first — the join query itself is
+	// only recorded after it finishes, so its own scans won't see it.)
+	if _, err := db.Exec("SELECT 10 / (id - 1) FROM users"); err == nil {
+		t.Fatal("division by zero did not fail")
+	}
+	snap := db.Engine().Stmts().Snapshot()
+	exemplar := map[string][2]int64{}
+	for _, s := range snap {
+		if s.OK() > 0 {
+			exemplar[s.Fingerprint] = [2]int64{s.LastLatencyNs, s.LastRows}
+		}
+	}
+	if len(exemplar) == len(snap) {
+		t.Fatalf("workload has no fingerprint without a successful call: %+v", snap)
+	}
+	res, err = db.Exec(`SELECT q.fingerprint, q.count, s.calls - s.errors - s.cancels - s.sheds,
+		q.query, s.query, q.max_latency_ns, s.max_ns,
+		q.first_seen_ns, s.first_seen_ns, q.last_seen_ns, s.last_seen_ns,
+		q.latency_ns, q.rows
+		FROM system.slow_queries q JOIN system.statements s ON q.fingerprint = s.fingerprint`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(slowEntries) {
-		t.Fatalf("join returned %d rows, slowlog has %d entries", len(res.Rows), len(slowEntries))
+	if len(res.Rows) != len(exemplar) {
+		t.Fatalf("join returned %d rows, store has %d fingerprints with successful calls", len(res.Rows), len(exemplar))
 	}
 	for _, r := range res.Rows {
-		if r[1].(int64) < r[2].(int64) {
-			t.Fatalf("join row %v: statement calls below slowlog count", r)
+		ex, ok := exemplar[r[0].(string)]
+		if !ok || r[1] != r[2] || r[3] != r[4] || r[5] != r[6] || r[7] != r[8] || r[9] != r[10] ||
+			r[11] != ex[0] || r[12] != ex[1] {
+			t.Fatalf("slow_queries row disagrees with its statements row: %v (exemplar %v)", r, ex)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // TestTelemetryEndToEnd drives queries through a DB with the HTTP
 // telemetry server up and checks the whole monitoring plane — metric
-// exposition, sampled time series, slow log, traces, alerts — over the
+// exposition, sampled time series, statements, traces, alerts — over the
 // wire.
 func TestTelemetryEndToEnd(t *testing.T) {
 	db := Open()
@@ -75,8 +75,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if !found {
 		t.Errorf("/timeseries index missing exec.queries: %v", idx.Series)
 	}
-	if slow := get("/slowlog"); !strings.Contains(slow, "fingerprint") {
-		t.Errorf("/slowlog missing entries:\n%.400s", slow)
+	if stmts := get("/statements"); !strings.Contains(stmts, "fingerprint") {
+		t.Errorf("/statements missing entries:\n%.400s", stmts)
 	}
 	if traces := get("/traces"); !strings.Contains(traces, `"name": "query"`) {
 		t.Errorf("/traces missing exported query span:\n%.400s", traces)

@@ -17,8 +17,7 @@ func init() {
 
 // e32Workload drives a deterministic mixed SELECT workload — point
 // filters, a BETWEEN, a join, and an aggregate — through the database so
-// the slow-query log and the statement-statistics store both observe the
-// same executions. Returns the number of statements run.
+// the statement store observes it. Returns the number of statements run.
 func e32Workload(db *core.DB, rng *ml.RNG) (int, error) {
 	type shape struct {
 		tmpl  string
@@ -112,16 +111,16 @@ func e32Same(a, b []idxadvisor.Candidate) bool {
 }
 
 // runE32SystemCatalog validates that the index advisor mining its
-// workload *through the engine* — plain SELECTs over system.statements
-// and system.slow_queries — reproduces exactly the candidate set of the
-// legacy wiring that reads the slow-query log store directly. The
-// virtual-catalog path adds no privileged pointers: what SQL can see is
-// enough to close the monitor→advise loop.
+// workload *through the engine* — a plain SELECT over system.statements
+// — reproduces exactly the candidate set of the direct wiring that
+// reads the statement store's snapshot. The virtual-catalog path adds
+// no privileged pointers: what SQL can see is enough to close the
+// monitor→advise loop.
 func runE32SystemCatalog(seed uint64) *Table {
 	t := &Table{
 		ID:     "E32",
 		Title:  "self-observation: index advisor fed by SQL over the system catalog",
-		Claim:  "mining the workload via SELECTs over system.statements / system.slow_queries yields the same index candidates as reading the slow-log store directly",
+		Claim:  "mining the workload via a SELECT over system.statements yields the same index candidates as reading the statement store directly",
 		Header: []string{"source", "records", "candidates", "top candidates (table.column:weight)"},
 	}
 	fail := func(err error) *Table {
@@ -137,8 +136,10 @@ func runE32SystemCatalog(seed uint64) *Table {
 		return fail(err)
 	}
 
-	// Direct wiring: the caller holds the *obs.SlowQueryLog pointer.
-	direct := idxadvisor.Candidates(idxadvisor.FromSlowLog(db.SlowLog().Entries()))
+	// Direct wiring: the caller holds the *obs.StatementStats pointer.
+	// Snapshot before the SQL read, which records itself in the store.
+	directRecs := idxadvisor.FromStatements(db.Engine().Stmts().Snapshot())
+	direct := idxadvisor.Candidates(directRecs)
 
 	// SQL wiring: the advisor only gets a "run this query" handle.
 	stmtRecs, err := idxadvisor.StatementsViaSQL(db.Engine())
@@ -146,20 +147,14 @@ func runE32SystemCatalog(seed uint64) *Table {
 		return fail(err)
 	}
 	viaStmts := idxadvisor.Candidates(stmtRecs)
-	slowRecs, err := idxadvisor.SlowQueriesViaSQL(db.Engine())
-	if err != nil {
-		return fail(err)
-	}
-	viaSlow := idxadvisor.Candidates(slowRecs)
 
 	t.Rows = [][]string{
-		{"slowlog store (direct)", itoa(len(db.SlowLog().Entries())), itoa(len(direct)), e32Top(direct, 3)},
+		{"statement store (direct)", itoa(len(directRecs)), itoa(len(direct)), e32Top(direct, 3)},
 		{"SQL: system.statements", itoa(len(stmtRecs)), itoa(len(viaStmts)), e32Top(viaStmts, 3)},
-		{"SQL: system.slow_queries", itoa(len(slowRecs)), itoa(len(viaSlow)), e32Top(viaSlow, 3)},
 	}
-	t.Holds = len(direct) >= 4 && e32Same(direct, viaStmts) && e32Same(direct, viaSlow)
+	t.Holds = len(direct) >= 4 && e32Same(direct, viaStmts)
 	if t.Holds {
-		t.Note = fmt.Sprintf("%d statements executed; all three sources agree on %d candidates", ran, len(direct))
+		t.Note = fmt.Sprintf("%d statements executed; both sources agree on %d candidates", ran, len(direct))
 	} else {
 		t.Note = "candidate sets diverge between direct and SQL-mined workload sources"
 	}

@@ -199,6 +199,15 @@ func TestMemBudgetChargesAndAborts(t *testing.T) {
 	if b.Used() != 111 {
 		t.Fatalf("Used = %d, want 111", b.Used())
 	}
+	// Error teardown refunds the charges; a concurrent worker crossing
+	// the limit again is still the same aborted query.
+	b.Refund(111)
+	if err := b.Charge(150); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("re-crossing charge: err=%v", err)
+	}
+	if n := reg.Snapshot()["mem.aborts"]; n != 1 {
+		t.Fatalf("mem.aborts after re-crossing = %v, want 1", n)
+	}
 }
 
 func TestMemBudgetNilAndUnlimited(t *testing.T) {

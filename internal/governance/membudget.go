@@ -19,10 +19,11 @@ var ErrMemBudget = errors.New("governance: query memory budget exceeded")
 // (morsel workers charge concurrently) and no-ops on a nil receiver, so
 // an unbudgeted executor pays one nil check per charge.
 type MemBudget struct {
-	limit int64
-	used  atomic.Int64
-	peak  atomic.Int64
-	m     Metrics
+	limit   int64
+	used    atomic.Int64
+	peak    atomic.Int64
+	aborted atomic.Bool
+	m       Metrics
 }
 
 // NewMemBudget creates a budget of limit bytes (<= 0 means unlimited:
@@ -49,9 +50,10 @@ func (b *MemBudget) Charge(n int64) error {
 	}
 	b.m.MemCharged.Add(uint64(n))
 	if b.limit > 0 && used > b.limit {
-		// Only the crossing charge reports the abort: earlier charges
-		// left used <= limit, and the query stops on the first error.
-		if used-n <= b.limit {
+		// Count the abort once: refunds on error teardown can bring
+		// used back under the limit, so a concurrent worker's later
+		// charge may cross it again.
+		if b.aborted.CompareAndSwap(false, true) {
 			b.m.MemAborts.Inc()
 		}
 		return fmt.Errorf("%w: %d of %d bytes", ErrMemBudget, used, b.limit)

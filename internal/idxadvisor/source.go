@@ -13,11 +13,10 @@ import (
 // This file is the advisor's workload-capture source: instead of being
 // handed a synthetic workload.Query list, the advisor can mine the
 // queries the engine actually ran — either read directly from the
-// slow-query log (the legacy pointer wiring) or, closing the loop
-// through the engine itself, via SQL over the system.statements /
-// system.slow_queries virtual tables. Both feeds normalize to
-// StatementRecord, so candidate extraction is source-agnostic and the
-// two paths provably agree (experiment E32).
+// statement store's snapshot or, closing the loop through the engine
+// itself, via SQL over the system.statements virtual table. Both feeds
+// normalize to StatementRecord, so candidate extraction is
+// source-agnostic and the two paths provably agree (experiment E32).
 
 // StatementRecord is one captured workload statement with its observed
 // execution weight.
@@ -45,65 +44,37 @@ type RowQuerier interface {
 	QueryRows(query string) ([]catalog.Row, error)
 }
 
-// FromSlowLog adapts slow-query log entries to statement records (the
-// direct wiring: caller holds the *obs.SlowQueryLog).
-func FromSlowLog(entries []obs.SlowLogEntry) []StatementRecord {
-	out := make([]StatementRecord, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, StatementRecord{
-			Query:   e.Query,
-			Calls:   e.Count,
-			TotalNs: e.LatencyNs * int64(e.Count),
-		})
+// FromStatements adapts a statement-store snapshot to statement records
+// (the direct wiring: the caller holds the *obs.StatementStats). Only
+// successful executions count toward index benefit.
+func FromStatements(snap []obs.StatementStat) []StatementRecord {
+	out := make([]StatementRecord, 0, len(snap))
+	for _, s := range snap {
+		if ok := s.OK(); ok > 0 {
+			out = append(out, StatementRecord{Query: s.Query, Calls: ok, TotalNs: s.TotalNs})
+		}
 	}
 	return out
 }
 
-// StatementsViaSQL reads the workload from system.statements through
-// the engine. Only successful executions count toward index benefit.
+// StatementsViaSQL is FromStatements over SQL: it reads the workload
+// from system.statements through the engine.
 func StatementsViaSQL(q RowQuerier) ([]StatementRecord, error) {
 	rows, err := q.QueryRows("SELECT query, calls, errors, cancels, sheds, total_ns FROM system.statements")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]StatementRecord, 0, len(rows))
-	for _, r := range rows {
+	snap := make([]obs.StatementStat, len(rows))
+	for i, r := range rows {
 		if len(r) != 6 {
 			return nil, fmt.Errorf("idxadvisor: system.statements row has %d cells, want 6", len(r))
 		}
-		calls, _ := r[1].(int64)
-		errs, _ := r[2].(int64)
-		cancels, _ := r[3].(int64)
-		sheds, _ := r[4].(int64)
+		count := func(j int) uint64 { v, _ := r[j].(int64); return uint64(v) }
+		text, _ := r[0].(string)
 		total, _ := r[5].(int64)
-		ok := calls - errs - cancels - sheds
-		if ok <= 0 {
-			continue
-		}
-		text, _ := r[0].(string)
-		out = append(out, StatementRecord{Query: text, Calls: uint64(ok), TotalNs: total})
+		snap[i] = obs.StatementStat{Query: text, Calls: count(1), Errors: count(2), Cancels: count(3), Sheds: count(4), TotalNs: total}
 	}
-	return out, nil
-}
-
-// SlowQueriesViaSQL reads the workload from system.slow_queries through
-// the engine (same shape as FromSlowLog, but over SQL).
-func SlowQueriesViaSQL(q RowQuerier) ([]StatementRecord, error) {
-	rows, err := q.QueryRows("SELECT query, count, latency_ns FROM system.slow_queries")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]StatementRecord, 0, len(rows))
-	for _, r := range rows {
-		if len(r) != 3 {
-			return nil, fmt.Errorf("idxadvisor: system.slow_queries row has %d cells, want 3", len(r))
-		}
-		text, _ := r[0].(string)
-		count, _ := r[1].(int64)
-		lat, _ := r[2].(int64)
-		out = append(out, StatementRecord{Query: text, Calls: uint64(count), TotalNs: lat * count})
-	}
-	return out, nil
+	return FromStatements(snap), nil
 }
 
 // Candidates mines index candidates from captured statements: each

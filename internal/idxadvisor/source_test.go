@@ -8,16 +8,13 @@ import (
 	"aidb/internal/obs"
 )
 
-func TestFromSlowLog(t *testing.T) {
-	recs := FromSlowLog([]obs.SlowLogEntry{
-		{Query: "SELECT a FROM t WHERE b < 5", Count: 3, LatencyNs: 100},
-		{Query: "SELECT a FROM t", Count: 1, LatencyNs: 40},
+func TestFromStatements(t *testing.T) {
+	recs := FromStatements([]obs.StatementStat{
+		{Query: "SELECT a FROM t WHERE b < 5", Calls: 10, Errors: 1, Cancels: 2, Sheds: 3, TotalNs: 5000},
+		{Query: "SELECT a FROM t WHERE c < 1", Calls: 4, Errors: 2, Cancels: 1, Sheds: 1, TotalNs: 900}, // ok = 0: dropped
 	})
-	if len(recs) != 2 {
-		t.Fatalf("got %d records", len(recs))
-	}
-	if recs[0].Calls != 3 || recs[0].TotalNs != 300 {
-		t.Fatalf("rec 0 = %+v (TotalNs should be latency x count)", recs[0])
+	if len(recs) != 1 || recs[0].Calls != 4 || recs[0].TotalNs != 5000 {
+		t.Fatalf("recs = %+v, want one record of the 4 successful calls", recs)
 	}
 }
 
@@ -91,23 +88,6 @@ func TestStatementsViaSQL(t *testing.T) {
 	q.err = nil
 	q.rows = []catalog.Row{{"short row"}}
 	if _, err := StatementsViaSQL(q); err == nil {
-		t.Fatal("malformed row accepted")
-	}
-}
-
-func TestSlowQueriesViaSQL(t *testing.T) {
-	q := &scriptedQuerier{rows: []catalog.Row{
-		{"SELECT a FROM t WHERE b < 1", int64(6), int64(250)},
-	}}
-	recs, err := SlowQueriesViaSQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Calls != 6 || recs[0].TotalNs != 1500 {
-		t.Fatalf("recs = %+v", recs)
-	}
-	q.rows = []catalog.Row{{"x", int64(1)}}
-	if _, err := SlowQueriesViaSQL(q); err == nil {
 		t.Fatal("malformed row accepted")
 	}
 }

@@ -23,7 +23,7 @@ import (
 //	                      the JSON / internal expositions)
 //	/timeseries           JSON series index {series, windows, capacity}
 //	/timeseries?name=N&window=K  last K points of series N
-//	/slowlog              slow-query log as a JSON array
+//	/statements           per-fingerprint statement statistics as a JSON array
 //	/traces               exported span trees as a JSON array
 //	/alerts               KPI anomaly alerts as a JSON array
 //	/debug/pprof/*        the standard Go profiling endpoints
@@ -33,7 +33,6 @@ import (
 type Telemetry struct {
 	Registry *Registry
 	Series   *TimeSeries
-	SlowLog  *SlowQueryLog
 	Tracer   *Tracer
 	// Alerts is the anomaly-alert ring (monitor.AlertLog satisfies
 	// this; an interface keeps obs free of a monitor dependency).
@@ -47,7 +46,7 @@ type Telemetry struct {
 }
 
 // JSONDumper renders a component as a self-contained JSON document.
-// SlowQueryLog, TimeSeries (curried), and monitor.AlertLog satisfy it.
+// StatementStats, TimeSeries (curried), and monitor.AlertLog satisfy it.
 type JSONDumper interface {
 	WriteJSONTo(w io.Writer) (int64, error)
 }
@@ -64,7 +63,6 @@ func (t *Telemetry) buildMux() {
 	mux.HandleFunc("/", t.handleIndex)
 	mux.HandleFunc("/metrics", t.handleMetrics)
 	mux.HandleFunc("/timeseries", t.handleTimeseries)
-	mux.HandleFunc("/slowlog", t.handleSlowlog)
 	mux.HandleFunc("/statements", t.handleStatements)
 	mux.HandleFunc("/traces", t.handleTraces)
 	mux.HandleFunc("/alerts", t.handleAlerts)
@@ -85,7 +83,6 @@ func (t *Telemetry) handleIndex(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, `aidb telemetry
 /metrics       Prometheus text (?format=json|text)
 /timeseries    series index; ?name=&window= for points
-/slowlog       slow-query log (JSON)
 /statements    per-fingerprint statement statistics (JSON)
 /traces        exported span trees (JSON)
 /alerts        KPI anomaly alerts (JSON)
@@ -127,17 +124,8 @@ func (t *Telemetry) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	t.Series.WriteJSONTo(w, name, n)
 }
 
-func (t *Telemetry) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	t.SlowLog.WriteJSONTo(w)
-}
-
 func (t *Telemetry) handleStatements(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if t.Statements == nil {
-		io.WriteString(w, "[]\n")
-		return
-	}
 	t.Statements.WriteJSONTo(w)
 }
 

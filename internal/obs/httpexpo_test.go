@@ -30,11 +30,8 @@ func serveTelemetry(t *testing.T) (string, *Registry, *TimeSeries) {
 	sp.SetTag("stmt", "SELECT")
 	sp.Finish()
 
-	slow := NewSlowQueryLog(4, 0)
-	slow.Record(SlowLogEntry{Query: "SELECT 1", Fingerprint: "fp1", LatencyNs: 10})
-
 	srv, err := Serve("127.0.0.1:0", &Telemetry{
-		Registry: reg, Series: ts, SlowLog: slow, Tracer: tr,
+		Registry: reg, Series: ts, Tracer: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,16 +130,8 @@ func TestTelemetryTimeseriesEndpoint(t *testing.T) {
 	}
 }
 
-func TestTelemetrySlowlogTracesAlerts(t *testing.T) {
+func TestTelemetryTracesAlerts(t *testing.T) {
 	base, _, _ := serveTelemetry(t)
-	slow, _ := get(t, base+"/slowlog")
-	var entries []SlowLogEntry
-	if err := json.Unmarshal([]byte(slow), &entries); err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Query != "SELECT 1" {
-		t.Errorf("slowlog = %+v", entries)
-	}
 	traces, _ := get(t, base+"/traces")
 	var spans []SpanExport
 	if err := json.Unmarshal([]byte(traces), &spans); err != nil {
@@ -191,7 +180,7 @@ func TestTelemetryNilComponents(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + srv.Addr()
 	for _, p := range []string{"/metrics", "/metrics?format=json", "/timeseries",
-		"/timeseries?name=x", "/slowlog", "/traces", "/alerts"} {
+		"/timeseries?name=x", "/statements", "/traces", "/alerts"} {
 		body, _ := get(t, base+p)
 		if len(body) == 0 {
 			t.Errorf("GET %s returned empty body", p)

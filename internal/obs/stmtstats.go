@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -28,6 +29,10 @@ const (
 // StmtObservation is one statement execution reported to the store.
 // Fingerprint is the plan-shape key executions aggregate under; Query
 // is a representative text kept from the fingerprint's first sighting.
+// Profile is the per-operator summary of a profiled (EXPLAIN ANALYZE)
+// run, "" otherwise; ChaosFires maps each chaos injection site to the
+// faults it fired while the statement ran (nil when none fired, and
+// never mutated after Record).
 type StmtObservation struct {
 	Fingerprint string
 	Query       string
@@ -36,6 +41,8 @@ type StmtObservation struct {
 	Rows        int64
 	Chunks      int64
 	PeakBytes   int64
+	Profile     string
+	ChaosFires  map[string]uint64
 }
 
 // stmtLatBuckets cover query latencies from ~1µs to ~275s in powers of
@@ -63,13 +70,23 @@ type stmtEntry struct {
 	chunks     atomic.Int64
 	peakBytes  atomic.Int64 // high-water mark across executions
 	lat        *Histogram
+
+	// The exemplar: the latest successful execution's latency, rows and
+	// chaos fires, plus the latest non-empty profile. Each field holds
+	// its own latest write, so under concurrent executions of one
+	// fingerprint the fields may come from different executions.
+	lastNs   atomic.Int64
+	lastRows atomic.Int64
+	fires    atomic.Pointer[map[string]uint64] // nil when the latest success saw no fault
+	profile  atomic.Pointer[string]
 }
 
 // StatementStats is a cumulative, bounded per-fingerprint statement
-// statistics store: the queryable core behind system.statements and the
-// /statements endpoint. Recording takes a read lock plus atomic adds on
-// the entry; only first sightings (and evictions) take the write lock.
-// All methods are nil-safe.
+// statistics store: the one workload-capture store behind
+// system.statements, system.slow_queries and the /statements endpoint.
+// Recording takes a read lock plus atomic updates on the entry; only
+// first sightings (and evictions) take the write lock. All methods are
+// nil-safe.
 type StatementStats struct {
 	mu      sync.RWMutex
 	byFP    map[string]*stmtEntry
@@ -86,7 +103,10 @@ func NewStatementStats(capacity int) *StatementStats {
 	return &StatementStats{byFP: make(map[string]*stmtEntry), cap: capacity}
 }
 
-// Record folds one execution into its fingerprint's entry.
+// Record folds one execution into its fingerprint's entry. A
+// successful execution also becomes the entry's exemplar; chaos
+// attribution stays per execution, so a quiet run clears the fires of
+// an earlier faulty one.
 func (s *StatementStats) Record(o StmtObservation) {
 	if s == nil {
 		return
@@ -115,6 +135,23 @@ func (s *StatementStats) Record(o StmtObservation) {
 	atomicMax(&e.maxNs, o.LatencyNs)
 	atomicMax(&e.peakBytes, o.PeakBytes)
 	e.lat.Observe(float64(o.LatencyNs))
+	if o.Outcome != StmtOK {
+		return
+	}
+	e.lastNs.Store(o.LatencyNs)
+	e.lastRows.Store(o.Rows)
+	// Copies keep o itself off the heap; only runs that carry fires or
+	// a profile allocate.
+	if len(o.ChaosFires) > 0 {
+		fires := o.ChaosFires
+		e.fires.Store(&fires)
+	} else if e.fires.Load() != nil {
+		e.fires.Store(nil)
+	}
+	if o.Profile != "" {
+		prof := o.Profile
+		e.profile.Store(&prof)
+	}
 }
 
 // insert registers a new fingerprint, evicting the least recently seen
@@ -184,7 +221,15 @@ type StatementStat struct {
 	PeakBytes   int64  `json:"peak_bytes"`
 	FirstSeenNs int64  `json:"first_seen_ns"`
 	LastSeenNs  int64  `json:"last_seen_ns"`
+	// The exemplar (zero until the first successful execution).
+	LastLatencyNs int64             `json:"last_latency_ns"`
+	LastRows      int64             `json:"last_rows"`
+	Profile       string            `json:"profile,omitempty"`
+	ChaosFires    map[string]uint64 `json:"chaos_fires,omitempty"`
 }
+
+// OK reports the fingerprint's successful executions.
+func (s StatementStat) OK() uint64 { return s.Calls - s.Errors - s.Cancels - s.Sheds }
 
 // Snapshot summarizes every tracked fingerprint, sorted by fingerprint
 // for deterministic output. Safe to call concurrently with Record.
@@ -205,25 +250,34 @@ func (s *StatementStats) Snapshot() []StatementStat {
 		if min == math.MaxInt64 {
 			min = 0
 		}
-		out = append(out, StatementStat{
-			Fingerprint: e.fingerprint,
-			Query:       e.query,
-			Calls:       e.calls.Load(),
-			Errors:      e.errors.Load(),
-			Cancels:     e.cancels.Load(),
-			Sheds:       e.sheds.Load(),
-			Rows:        e.rows.Load(),
-			TotalNs:     e.totalNs.Load(),
-			MinNs:       min,
-			MaxNs:       e.maxNs.Load(),
-			P50Ns:       int64(hs.P50),
-			P95Ns:       int64(hs.P95),
-			P99Ns:       int64(hs.P99),
-			Chunks:      e.chunks.Load(),
-			PeakBytes:   e.peakBytes.Load(),
-			FirstSeenNs: e.firstSeenNs,
-			LastSeenNs:  e.lastSeenNs.Load(),
-		})
+		st := StatementStat{
+			Fingerprint:   e.fingerprint,
+			Query:         e.query,
+			Calls:         e.calls.Load(),
+			Errors:        e.errors.Load(),
+			Cancels:       e.cancels.Load(),
+			Sheds:         e.sheds.Load(),
+			Rows:          e.rows.Load(),
+			TotalNs:       e.totalNs.Load(),
+			MinNs:         min,
+			MaxNs:         e.maxNs.Load(),
+			P50Ns:         int64(hs.P50),
+			P95Ns:         int64(hs.P95),
+			P99Ns:         int64(hs.P99),
+			Chunks:        e.chunks.Load(),
+			PeakBytes:     e.peakBytes.Load(),
+			FirstSeenNs:   e.firstSeenNs,
+			LastSeenNs:    e.lastSeenNs.Load(),
+			LastLatencyNs: e.lastNs.Load(),
+			LastRows:      e.lastRows.Load(),
+		}
+		if f := e.fires.Load(); f != nil {
+			st.ChaosFires = maps.Clone(*f)
+		}
+		if p := e.profile.Load(); p != nil {
+			st.Profile = *p
+		}
+		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
 	return out

@@ -148,7 +148,7 @@ func (s *Server) handleConn(c net.Conn) {
 // HTTPHandler builds the HTTP front end: POST /query runs one statement
 // (body = SQL) in a fresh session and returns the result as JSON;
 // every other path serves the database's telemetry surface (/metrics,
-// /slowlog, /traces, ...). HTTP requests are stateless — prepared
+// /statements, /traces, ...). HTTP requests are stateless — prepared
 // statements do not survive across requests; use the line protocol for
 // session state.
 func HTTPHandler(db *core.DB) http.Handler {
