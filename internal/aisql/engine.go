@@ -451,14 +451,14 @@ func (e *Engine) insert(s *sql.InsertStmt, params []catalog.Value) (*exec.Result
 	if err != nil {
 		return nil, err
 	}
-	scope := exec.NewScopeParams(nil, params)
+	b := exec.NewBinder(nil, params, nil)
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(t.Schema.Columns) {
 			return nil, fmt.Errorf("aisql: INSERT has %d values for %d columns", len(exprRow), len(t.Schema.Columns))
 		}
 		row := make(catalog.Row, len(exprRow))
 		for i, ex := range exprRow {
-			v, err := exec.Eval(ex, scope, nil, nil)
+			v, err := b.Eval(ex, nil)
 			if err != nil {
 				return nil, fmt.Errorf("aisql: INSERT value %d: %w", i, err)
 			}
@@ -668,7 +668,15 @@ func (e *Engine) update(s *sql.UpdateStmt, params []catalog.Value) (*exec.Result
 			return nil, fmt.Errorf("aisql: unknown column %q in table %s", col, t.Name)
 		}
 	}
-	scope := exec.NewScopeParams(schemaNames(t), params)
+	names := schemaNames(t)
+	where := e.bindWhere(s.Where, names, params)
+	// set holds each assigned column's compiled expression (nil where
+	// the column keeps its value), evaluated in column order.
+	set := make([]exec.Evaluator, len(t.Schema.Columns))
+	b := exec.NewBinder(names, params, e.funcs())
+	for col, ex := range s.Set {
+		set[t.Schema.ColIndex(col)] = b.Value(ex)
+	}
 	type change struct {
 		rid    storage.RecordID
 		oldRow catalog.Row
@@ -679,20 +687,20 @@ func (e *Engine) update(s *sql.UpdateStmt, params []catalog.Value) (*exec.Result
 	var changes []change
 	var evalErr error
 	scanErr := t.Scan(func(rid storage.RecordID, row catalog.Row) bool {
-		if s.Where != nil {
-			ok, err := exec.EvalBool(s.Where, scope, row, e.funcs())
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
+		ok, err := where(row)
+		if err != nil {
+			evalErr = err
+			return false
+		}
+		if !ok {
+			return true
 		}
 		newRow := append(catalog.Row{}, row...)
-		for col, ex := range s.Set {
-			idx := t.Schema.ColIndex(col)
-			v, err := exec.Eval(ex, scope, row, e.funcs())
+		for idx, val := range set {
+			if val == nil {
+				continue
+			}
+			v, err := val(row)
 			if err == nil {
 				v, err = coerce(v, t.Schema.Columns[idx].Type)
 			}
@@ -730,7 +738,7 @@ func (e *Engine) delete(s *sql.DeleteStmt, params []catalog.Value) (*exec.Result
 	if err != nil {
 		return nil, err
 	}
-	scope := exec.NewScopeParams(schemaNames(t), params)
+	where := e.bindWhere(s.Where, schemaNames(t), params)
 	type victim struct {
 		rid storage.RecordID
 		row catalog.Row
@@ -738,17 +746,14 @@ func (e *Engine) delete(s *sql.DeleteStmt, params []catalog.Value) (*exec.Result
 	var victims []victim
 	var evalErr error
 	scanErr := t.Scan(func(rid storage.RecordID, row catalog.Row) bool {
-		if s.Where != nil {
-			ok, err := exec.EvalBool(s.Where, scope, row, e.funcs())
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
+		ok, err := where(row)
+		if err != nil {
+			evalErr = err
+			return false
 		}
-		victims = append(victims, victim{rid, row})
+		if ok {
+			victims = append(victims, victim{rid, row})
+		}
 		return true
 	})
 	if scanErr != nil {
@@ -764,6 +769,15 @@ func (e *Engine) delete(s *sql.DeleteStmt, params []catalog.Value) (*exec.Result
 		e.syncIndexesDelete(t.Name, v.rid, v.row)
 	}
 	return emptyResult(), nil
+}
+
+// bindWhere compiles a DML WHERE clause against the target table's
+// columns; a missing clause matches every row.
+func (e *Engine) bindWhere(where sql.Expr, names []string, params []catalog.Value) exec.Predicate {
+	if where == nil {
+		return func(catalog.Row) (bool, error) { return true, nil }
+	}
+	return exec.NewBinder(names, params, e.funcs()).Predicate(where)
 }
 
 func schemaNames(t *catalog.Table) []string {

@@ -193,29 +193,38 @@ func encodeRow(schema *Schema, row Row) ([]byte, error) {
 // decodeRow deserializes a row against a schema.
 func decodeRow(schema *Schema, b []byte) (Row, error) {
 	row := make(Row, len(schema.Columns))
-	if err := decodeRowInto(schema, b, row); err != nil {
+	if err := decodeInto(schema, b, row, nil); err != nil {
 		return nil, err
 	}
 	return row, nil
 }
 
-// decodeRowInto deserializes a row against a schema into caller-owned
-// storage; row must have exactly one slot per schema column.
-func decodeRowInto(schema *Schema, b []byte, row Row) error {
+// decodeInto deserializes a record against a schema into caller-owned
+// storage with one slot per schema column. A nil want decodes every
+// column; otherwise only the columns with want[i] set are stored and
+// the rest of row is left as it was. Every column is bounds-checked in
+// order either way, so a truncated record fails with the same error
+// however few columns are wanted.
+func decodeInto(schema *Schema, b []byte, row Row, want []bool) error {
 	off := 0
 	for i, col := range schema.Columns {
+		store := want == nil || want[i]
 		switch col.Type {
 		case Int64:
 			if off+8 > len(b) {
 				return errors.New("catalog: truncated int64 value")
 			}
-			row[i] = int64(binary.LittleEndian.Uint64(b[off : off+8]))
+			if store {
+				row[i] = int64(binary.LittleEndian.Uint64(b[off : off+8]))
+			}
 			off += 8
 		case Float64:
 			if off+8 > len(b) {
 				return errors.New("catalog: truncated float64 value")
 			}
-			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off : off+8]))
+			if store {
+				row[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off : off+8]))
+			}
 			off += 8
 		case String:
 			if off+4 > len(b) {
@@ -226,7 +235,9 @@ func decodeRowInto(schema *Schema, b []byte, row Row) error {
 			if off+l > len(b) {
 				return errors.New("catalog: truncated string value")
 			}
-			row[i] = string(b[off : off+l])
+			if store {
+				row[i] = string(b[off : off+l])
+			}
 			off += l
 		}
 	}
@@ -350,7 +361,33 @@ func (t *Table) ScanPages(pages []storage.PageID, fn func(rid storage.RecordID, 
 // per row. The row passed to fn is only valid until fn returns if the
 // allocator recycles storage; callers that retain rows must copy them.
 func (t *Table) ScanPagesInto(pages []storage.PageID, alloc func(cols int) Row, fn func(rid storage.RecordID, row Row) bool) error {
+	return t.scanPages(pages, nil, nil, alloc, fn)
+}
+
+// ScanPagesWhere is ScanPagesInto with a pushed-down filter (late
+// materialization). Every live record is validated exactly as a full
+// decode validates it, but only the columns listed in cols are decoded
+// — into a scratch row of full schema width whose other slots are
+// unspecified — before keep sees it. keep sees every live record in
+// scan order; only a record it accepts is decoded in full, into
+// storage from alloc, and passed to fn. An error from keep stops the
+// scan and is returned.
+func (t *Table) ScanPagesWhere(pages []storage.PageID, cols []int, keep func(scratch Row) (bool, error), alloc func(cols int) Row, fn func(rid storage.RecordID, row Row) bool) error {
+	want := make([]bool, len(t.Schema.Columns))
+	for _, c := range cols {
+		want[c] = true
+	}
+	return t.scanPages(pages, want, keep, alloc, fn)
+}
+
+// scanPages is the shared scan loop; a nil keep decodes every record
+// in full.
+func (t *Table) scanPages(pages []storage.PageID, want []bool, keep func(Row) (bool, error), alloc func(cols int) Row, fn func(rid storage.RecordID, row Row) bool) error {
 	cols := len(t.Schema.Columns)
+	var scratch Row
+	if keep != nil {
+		scratch = make(Row, cols)
+	}
 	for _, id := range pages {
 		p, err := t.pool.Fetch(id)
 		if err != nil {
@@ -358,18 +395,32 @@ func (t *Table) ScanPagesInto(pages []storage.PageID, alloc func(cols int) Row, 
 		}
 		stop := false
 		for s := 0; s < p.Slots(); s++ {
-			// A borrowed view is enough: decodeRowInto boxes every value
+			// A borrowed view is enough: decodeInto boxes every value
 			// (strings included) before the page is unpinned.
 			b, gerr := p.GetRef(s)
-			if errors.Is(gerr, storage.ErrRecordDeleted) {
-				continue
-			}
 			if gerr != nil {
+				if errors.Is(gerr, storage.ErrRecordDeleted) {
+					continue
+				}
 				t.pool.Unpin(id, false)
 				return gerr
 			}
+			if keep != nil {
+				derr := decodeInto(&t.Schema, b, scratch, want)
+				ok := false
+				if derr == nil {
+					ok, derr = keep(scratch)
+				}
+				if derr != nil {
+					t.pool.Unpin(id, false)
+					return derr
+				}
+				if !ok {
+					continue
+				}
+			}
 			row := alloc(cols)
-			if derr := decodeRowInto(&t.Schema, b, row); derr != nil {
+			if derr := decodeInto(&t.Schema, b, row, nil); derr != nil {
 				t.pool.Unpin(id, false)
 				return derr
 			}

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +168,141 @@ func TestDecodeTruncated(t *testing.T) {
 			t.Fatalf("decode of %d/%d bytes should fail", cut, len(b))
 		}
 	}
+}
+
+// insertRaw appends a raw record to the table's last page, bypassing
+// encodeRow — the way to plant a corrupt record.
+func insertRaw(t *testing.T, tab *Table, rec []byte) {
+	t.Helper()
+	id := tab.pages[len(tab.pages)-1]
+	p, err := tab.pool.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Insert(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.pool.Unpin(id, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanPagesWhereMatchesFullScan checks late materialization: a
+// filter that reads one column keeps exactly the rows a full decode
+// followed by the same filter keeps, fully decoded, and sees every row.
+func TestScanPagesWhereMatchesFullScan(t *testing.T) {
+	c := NewMem()
+	tab, _ := c.CreateTable("t", testSchema())
+	for i := 0; i < 500; i++ {
+		if _, err := tab.Insert(Row{int64(i), float64(i) / 2, fmt.Sprintf("n%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all, err := tab.AllRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Row
+	for _, r := range all {
+		if r[0].(int64)%7 == 0 {
+			want = append(want, r)
+		}
+	}
+	var got []Row
+	seen := 0
+	err = tab.ScanPagesWhere(tab.PageIDs(), []int{0},
+		func(scratch Row) (bool, error) {
+			seen++
+			if scratch[1] != nil || scratch[2] != nil {
+				return false, fmt.Errorf("unwanted columns decoded: %v", scratch)
+			}
+			return scratch[0].(int64)%7 == 0, nil
+		},
+		func(cols int) Row { return make(Row, cols) },
+		func(_ storage.RecordID, r Row) bool {
+			got = append(got, r)
+			return true
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(all) {
+		t.Errorf("filter saw %d rows, table has %d", seen, len(all))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("kept %d rows, want %d:\n%v\n%v", len(got), len(want), got, want)
+	}
+}
+
+// TestScanPagesWhereTruncatedRejectedRow plants a record truncated
+// inside a column the filter never reads, in a row the filter rejects:
+// the scan must still fail with the error a full decode reports.
+func TestScanPagesWhereTruncatedRejectedRow(t *testing.T) {
+	c := NewMem()
+	schema := testSchema()
+	tab, _ := c.CreateTable("t", schema)
+	for i := 0; i < 10; i++ {
+		if _, err := tab.Insert(Row{int64(i), 1.5, "ok"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good, _ := encodeRow(&schema, Row{int64(-1), 2.5, "truncated name"})
+	insertRaw(t, tab, good[:len(good)-3])
+	alloc := func(cols int) Row { return make(Row, cols) }
+	keepAll := func(storage.RecordID, Row) bool { return true }
+	fullErr := tab.ScanPagesInto(tab.PageIDs(), alloc, keepAll)
+	if fullErr == nil || fullErr.Error() != "catalog: truncated string value" {
+		t.Fatalf("full scan error = %v, want catalog: truncated string value", fullErr)
+	}
+	err := tab.ScanPagesWhere(tab.PageIDs(), []int{0},
+		func(scratch Row) (bool, error) { return scratch[0].(int64) >= 0, nil },
+		alloc, keepAll)
+	if err == nil || err.Error() != fullErr.Error() {
+		t.Fatalf("filtered scan error = %v, want %v", err, fullErr)
+	}
+}
+
+// FuzzDecodeRow decodes arbitrary bytes against an arbitrary schema in
+// full and partially (a random column subset): both must fail with the
+// same error or succeed, and on success every decoded column must hold
+// the full decode's value while the others stay untouched.
+func FuzzDecodeRow(f *testing.F) {
+	schema := testSchema()
+	rec, _ := encodeRow(&schema, Row{int64(7), 2.5, "hello"})
+	types := []byte{byte(Int64), byte(Float64), byte(String)}
+	for cut := 0; cut <= len(rec); cut += 3 {
+		f.Add(types, uint8(0b101), rec[:cut])
+	}
+	f.Add([]byte{byte(String), byte(String)}, uint8(0b10), []byte{0xff, 0xff, 0xff, 0xff, 'x'})
+	f.Fuzz(func(t *testing.T, types []byte, mask uint8, rec []byte) {
+		if len(types) == 0 || len(types) > 8 {
+			return
+		}
+		var s Schema
+		want := make([]bool, len(types))
+		for i, ty := range types {
+			s.Columns = append(s.Columns, Column{Name: fmt.Sprintf("c%d", i), Type: ColType(ty % 3)})
+			want[i] = mask&(1<<i) != 0
+		}
+		full := make(Row, len(types))
+		part := make(Row, len(types))
+		fullErr := decodeInto(&s, rec, full, nil)
+		partErr := decodeInto(&s, rec, part, want)
+		if fmt.Sprint(fullErr) != fmt.Sprint(partErr) {
+			t.Fatalf("full decode error %v, partial %v", fullErr, partErr)
+		}
+		if fullErr != nil {
+			return
+		}
+		for i := range types {
+			switch {
+			case !want[i] && part[i] != nil:
+				t.Fatalf("column %d not wanted but decoded to %v", i, part[i])
+			case want[i] && fmt.Sprintf("%#v", part[i]) != fmt.Sprintf("%#v", full[i]):
+				t.Fatalf("column %d: partial %#v, full %#v", i, part[i], full[i])
+			}
+		}
+	})
 }
 
 func TestHistogramEstimates(t *testing.T) {

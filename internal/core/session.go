@@ -243,9 +243,9 @@ func (s *Session) handleExecute(ctx context.Context, query string, v *sql.Execut
 	}
 	s.noteTxnWork()
 	args := make([]catalog.Value, len(v.Args))
-	scope := exec.NewScope(nil)
+	b := exec.NewBinder(nil, nil, nil)
 	for i, a := range v.Args {
-		val, err := exec.Eval(a, scope, nil, nil)
+		val, err := b.Eval(a, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: EXECUTE argument %d: %w", i+1, err)
 		}

@@ -46,24 +46,16 @@ func (c *Chunk) Rows() []catalog.Row { return c.rows }
 // Len is the number of rows in the chunk.
 func (c *Chunk) Len() int { return len(c.rows) }
 
-// minArenaVals sizes the first arena slab: DefaultMorselRows rows of
-// four columns, so typical chunks fit in one slab.
-const minArenaVals = 4 * DefaultMorselRows
-
 // newRow carves a width-column row out of the arena. The sub-slice is
 // capacity-capped, so appending to a returned row can never clobber a
-// neighbor. Exhausting the slab starts a fresh one; rows already carved
-// keep the old slab alive through their own headers.
+// neighbor. Exhausting the slab starts a fresh one, twice as large but
+// at least a full default chunk (DefaultMorselRows rows of this width);
+// rows already carved keep the old slab alive through their own
+// headers.
 func (c *Chunk) newRow(width int) catalog.Row {
 	n := len(c.vals)
 	if n+width > cap(c.vals) {
-		grow := 2 * cap(c.vals)
-		if grow < minArenaVals {
-			grow = minArenaVals
-		}
-		if grow < width {
-			grow = width
-		}
+		grow := max(2*cap(c.vals), DefaultMorselRows*width)
 		c.vals = make([]catalog.Value, 0, grow)
 		n = 0
 	}
@@ -77,7 +69,7 @@ func (c *Chunk) newRow(width int) catalog.Row {
 
 // reserve pre-sizes an empty chunk for n rows of width columns: one
 // exact arena slab and row-slice capacity up front, instead of letting
-// newRow fall back to the minArenaVals default. That default is right
+// newRow fall back to its full-chunk default. That default is right
 // for recycled chunks (the slab amortizes across reuses) but wasteful
 // for chunks that will escape the pipeline — narrow projection and
 // join outputs were paying a full four-column slab per chunk. No-op on

@@ -89,10 +89,10 @@ type Executor struct {
 	ScanMorselPages int
 
 	// Params carries positional bindings for $N placeholders in the
-	// plan's expressions (Params[0] binds $1). The executor injects them
-	// into every evaluation scope it creates, which is how one cached
-	// parameterized plan runs under different bindings: the plan stays
-	// shared and immutable, the values live here, per Run.
+	// plan's expressions (Params[0] binds $1). Each Run binds them into
+	// the expressions it compiles, which is how one cached parameterized
+	// plan runs under different bindings: the plan stays shared and
+	// immutable, the values live here, per Run.
 	Params []catalog.Value
 
 	// poolHook, when set, receives each RunContext's chunk pool after
@@ -356,22 +356,87 @@ func approxRowsBytes(rows []catalog.Row) int64 {
 	return n
 }
 
+// aggFold is how an aggregate item folds one input row.
+type aggFold uint8
+
+const (
+	foldNone  aggFold = iota // not an aggregate: a grouping expression
+	foldCount                // COUNT
+	foldSum                  // SUM and AVG
+	foldMin
+	foldMax
+)
+
+// boundAgg is an AggregateNode's expressions compiled against its
+// input: the group keys and, per output item, its fold and argument.
+type boundAgg struct {
+	keys  []Evaluator
+	folds []aggFold
+	args  []Evaluator
+}
+
+// bindAgg compiles an aggregate's group keys and arguments once per run.
+// A SUM/AVG/MIN/MAX without exactly one argument binds to its error,
+// raised when the first row folds (an empty input aggregates fine).
+func (ex *Executor) bindAgg(a *plan.AggregateNode) *boundAgg {
+	bind := ex.binder(a.Input.Schema())
+	b := &boundAgg{folds: make([]aggFold, len(a.Items)), args: make([]Evaluator, len(a.Items))}
+	for _, g := range a.GroupBy {
+		b.keys = append(b.keys, bind.Value(g))
+	}
+	for i, it := range a.Items {
+		fc, ok := it.Expr.(*sql.FuncCall)
+		if !ok {
+			continue
+		}
+		switch fc.Name {
+		case "COUNT":
+			b.folds[i] = foldCount
+			continue
+		case "SUM", "AVG":
+			b.folds[i] = foldSum
+		case "MIN":
+			b.folds[i] = foldMin
+		case "MAX":
+			b.folds[i] = foldMax
+		default:
+			continue
+		}
+		if len(fc.Args) != 1 {
+			b.args[i] = fail(fmt.Errorf("exec: %s takes one argument", fc.Name))
+		} else {
+			b.args[i] = bind.Value(fc.Args[0])
+		}
+	}
+	return b
+}
+
+// aggState is one group's running partials, indexed by output item:
+// counts is the rows COUNTed or values folded, sums the SUM/AVG
+// totals, exts the MIN/MAX extreme so far (valid once counts[i] > 0).
 type aggState struct {
 	groupKey catalog.Row
-	count    int64
-	sums     map[int]float64
-	mins     map[int]catalog.Value
-	maxs     map[int]catalog.Value
-	counts   map[int]int64
+	counts   []int64
+	sums     []float64
+	exts     []catalog.Value
+}
+
+func newAggState(key catalog.Row, items int) *aggState {
+	return &aggState{
+		groupKey: key,
+		counts:   make([]int64, items),
+		sums:     make([]float64, items),
+		exts:     make([]catalog.Value, items),
+	}
 }
 
 // aggregateChunk folds one batch of rows into part. Rows are consumed:
 // every value the state keeps (group keys, min/max) is an evaluated
 // Value, never a slice into the caller's chunk, so the chunk may be
 // recycled as soon as this returns.
-func (ex *Executor) aggregateChunk(rc *runCtx, a *plan.AggregateNode, scope *Scope, part *aggPartial, rows []catalog.Row) error {
+func (ex *Executor) aggregateChunk(rc *runCtx, a *boundAgg, part *aggPartial, rows []catalog.Row) error {
 	keyBuf := make([]byte, 0, 64)
-	key := make(catalog.Row, 0, len(a.GroupBy))
+	key := make(catalog.Row, 0, len(a.keys))
 	for i, r := range rows {
 		if i%ctxCheckRows == 0 {
 			if err := rc.err(); err != nil {
@@ -379,8 +444,8 @@ func (ex *Executor) aggregateChunk(rc *runCtx, a *plan.AggregateNode, scope *Sco
 			}
 		}
 		key = key[:0]
-		for _, g := range a.GroupBy {
-			v, err := Eval(g, scope, r, ex.Funcs)
+		for _, g := range a.keys {
+			v, err := g(r)
 			if err != nil {
 				return err
 			}
@@ -389,62 +454,37 @@ func (ex *Executor) aggregateChunk(rc *runCtx, a *plan.AggregateNode, scope *Sco
 		keyBuf = appendRowKey(keyBuf[:0], key)
 		st, ok := part.groups[string(keyBuf)]
 		if !ok {
-			st = &aggState{
-				groupKey: append(catalog.Row(nil), key...),
-				sums:     map[int]float64{},
-				mins:     map[int]catalog.Value{},
-				maxs:     map[int]catalog.Value{},
-				counts:   map[int]int64{},
-			}
+			st = newAggState(append(catalog.Row(nil), key...), len(a.folds))
 			ks := string(keyBuf)
 			part.groups[ks] = st
 			part.order = append(part.order, ks)
 		}
-		st.count++
-		for i, it := range a.Items {
-			fc, ok := it.Expr.(*sql.FuncCall)
-			if !ok {
+		for i, fold := range a.folds {
+			switch fold {
+			case foldNone:
+				continue
+			case foldCount:
+				st.counts[i]++
 				continue
 			}
-			switch fc.Name {
-			case "COUNT":
-				st.counts[i]++
-			case "SUM", "AVG", "MIN", "MAX":
-				if len(fc.Args) != 1 {
-					return fmt.Errorf("exec: %s takes one argument", fc.Name)
-				}
-				v, err := Eval(fc.Args[0], scope, r, ex.Funcs)
+			v, err := a.args[i](r)
+			if err != nil {
+				return err
+			}
+			if fold == foldSum {
+				f, err := toFloat(v)
 				if err != nil {
 					return err
 				}
-				switch fc.Name {
-				case "SUM", "AVG":
-					f, err := toFloat(v)
-					if err != nil {
-						return err
-					}
-					st.sums[i] += f
-					st.counts[i]++
-				case "MIN":
-					cur, ok := st.mins[i]
-					if !ok {
-						st.mins[i] = v
-					} else if c, err := compare(v, cur); err != nil {
-						return err
-					} else if c < 0 {
-						st.mins[i] = v
-					}
-				case "MAX":
-					cur, ok := st.maxs[i]
-					if !ok {
-						st.maxs[i] = v
-					} else if c, err := compare(v, cur); err != nil {
-						return err
-					} else if c > 0 {
-						st.maxs[i] = v
-					}
-				}
+				st.sums[i] += f
+			} else if st.counts[i] == 0 {
+				st.exts[i] = v
+			} else if c, err := compare(v, st.exts[i]); err != nil {
+				return err
+			} else if (fold == foldMin && c < 0) || (fold == foldMax && c > 0) {
+				st.exts[i] = v
 			}
+			st.counts[i]++
 		}
 	}
 	return nil
@@ -454,7 +494,7 @@ func (ex *Executor) aggregateChunk(rc *runCtx, a *plan.AggregateNode, scope *Sco
 func (ex *Executor) finalizeAgg(a *plan.AggregateNode, part *aggPartial) ([]catalog.Row, error) {
 	if len(a.GroupBy) == 0 && len(part.order) == 0 {
 		// Aggregates over an empty input still produce one row.
-		part.groups[""] = &aggState{sums: map[int]float64{}, mins: map[int]catalog.Value{}, maxs: map[int]catalog.Value{}, counts: map[int]int64{}}
+		part.groups[""] = newAggState(nil, len(a.Items))
 		part.order = append(part.order, "")
 	}
 	var out []catalog.Row
@@ -477,11 +517,8 @@ func (ex *Executor) finalizeAgg(a *plan.AggregateNode, part *aggPartial) ([]cata
 						row = append(row, st.sums[i]/float64(st.counts[i]))
 					}
 					continue
-				case "MIN":
-					row = append(row, st.mins[i])
-					continue
-				case "MAX":
-					row = append(row, st.maxs[i])
+				case "MIN", "MAX":
+					row = append(row, st.exts[i])
 					continue
 				}
 			}
@@ -501,6 +538,12 @@ func (ex *Executor) finalizeAgg(a *plan.AggregateNode, part *aggPartial) ([]cata
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// binder compiles expressions against an input schema with this run's
+// parameters and scalar functions.
+func (ex *Executor) binder(names []string) *Binder {
+	return NewBinder(names, ex.Params, ex.Funcs)
 }
 
 func colRefFromName(name string) *sql.ColumnRef {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,14 +89,13 @@ func applyTransforms(rc *runCtx, ts []transform, c *Chunk) (*Chunk, error) {
 	return c, nil
 }
 
-// filterTransform drops rows failing cond, compacting the chunk in
-// place — the chunk is exclusively owned, so no copy is needed.
+// filterTransform drops rows failing the compiled condition,
+// compacting the chunk in place — the chunk is exclusively owned, so no
+// copy is needed.
 type filterTransform struct {
-	ex    *Executor
-	rc    *runCtx
-	cond  sql.Expr
-	scope *Scope
-	prof  *OpProfile
+	rc   *runCtx
+	pred Predicate
+	prof *OpProfile
 }
 
 func (t *filterTransform) apply(c *Chunk) (*Chunk, error) {
@@ -115,7 +115,7 @@ func (t *filterTransform) apply(c *Chunk) (*Chunk, error) {
 				return nil, err
 			}
 		}
-		ok, err := EvalBool(t.cond, t.scope, r, t.ex.Funcs)
+		ok, err := t.pred(r)
 		if err != nil {
 			t.rc.recycle(c)
 			return nil, err
@@ -136,12 +136,11 @@ func (t *filterTransform) apply(c *Chunk) (*Chunk, error) {
 // projectTransform evaluates the projection items into a fresh pooled
 // chunk (rows carved from its arena) and recycles the input, so a
 // scan→project pipeline cycles two pooled chunks instead of
-// allocating one slice per output row.
+// allocating one slice per output row. A nil item is `*`: it copies
+// the whole input row.
 type projectTransform struct {
-	ex    *Executor
 	rc    *runCtx
-	items []sql.SelectItem
-	scope *Scope
+	items []Evaluator
 	prof  *OpProfile
 }
 
@@ -158,7 +157,7 @@ func (t *projectTransform) apply(c *Chunk) (*Chunk, error) {
 	width := 0
 	if len(c.rows) > 0 {
 		for _, it := range t.items {
-			if _, ok := it.Expr.(*sql.Star); ok {
+			if it == nil {
 				width += len(c.rows[0])
 			} else {
 				width++
@@ -178,11 +177,11 @@ func (t *projectTransform) apply(c *Chunk) (*Chunk, error) {
 		row := out.newRow(width)
 		j := 0
 		for _, it := range t.items {
-			if _, ok := it.Expr.(*sql.Star); ok {
+			if it == nil {
 				j += copy(row[j:], r)
 				continue
 			}
-			v, err := Eval(it.Expr, t.scope, r, t.ex.Funcs)
+			v, err := it(r)
 			if err != nil {
 				rc.recycle(out)
 				rc.recycle(c)
@@ -249,13 +248,19 @@ type chunkSink struct {
 	emit  emitFn
 	cur   *Chunk
 	limit int
+	// reserve is the row count a fresh chunk's arena is sized for (see
+	// compileScan); newRow grows the arena past it on demand.
+	reserve int
+	// dropped counts rows a pushed-down filter rejected since the last
+	// flush: they were scanned, so flush counts them as such.
+	dropped int
 }
 
 // row carves the next arena row for the decoder to fill.
 func (k *chunkSink) row(width int) catalog.Row {
 	if k.cur == nil {
 		k.cur = k.s.rc.pool.get()
-		k.cur.reserve(k.limit, width)
+		k.cur.reserve(k.reserve, width)
 	}
 	return k.cur.newRow(width)
 }
@@ -272,20 +277,34 @@ func (k *chunkSink) push(r catalog.Row) error {
 	return nil
 }
 
-// flush accounts, transforms and emits the current chunk.
+// flush accounts, transforms and emits the current chunk. Rows a
+// pushed-down filter dropped count as scanned (and as the scan
+// operator's output) even when no row survived to fill a chunk.
 func (k *chunkSink) flush() error {
+	s := k.s
 	c := k.cur
-	if c == nil || len(c.rows) == 0 {
+	kept := 0
+	if c != nil {
+		kept = len(c.rows)
+	}
+	if n := kept + k.dropped; n > 0 {
+		k.dropped = 0
+		s.ex.Stats.RowsScanned.Add(uint64(n))
+		s.ex.Obs.RowsScanned.Add(uint64(n))
+		if s.prof != nil {
+			s.prof.actualRows.Add(int64(n))
+		}
+	}
+	if kept == 0 {
 		return nil
 	}
 	k.cur = nil
-	s := k.s
-	n := uint64(len(c.rows))
-	s.ex.Stats.RowsScanned.Add(n)
-	s.ex.Obs.RowsScanned.Add(n)
 	if s.prof != nil {
-		s.prof.actualRows.Add(int64(n))
 		s.prof.chunks.Add(1)
+	}
+	if s.pushedProf != nil {
+		s.pushedProf.actualRows.Add(int64(kept))
+		s.pushedProf.chunks.Add(1)
 	}
 	if err := s.rc.chargeEmit(c); err != nil {
 		s.rc.recycle(c)
@@ -344,6 +363,10 @@ type morselStream struct {
 	// produce reads morsel m and emits its chunks in row order.
 	produce func(m int, emit emitFn) error
 	ts      []transform
+	// pushedProf is the profile of a filter pushed into the scan's
+	// decoder: it records the rows and chunks that survive the filter
+	// (its time is part of the scan's).
+	pushedProf *OpProfile
 
 	opened bool
 	done   bool
@@ -565,14 +588,36 @@ func (s *morselStream) Close() {
 	s.buf = nil
 }
 
+// pushdown is a filter pushed into a heap scan's decoder: the compiled
+// predicate, the columns it reads, and the filter operator's profile.
+type pushdown struct {
+	pred  Predicate
+	reads []int
+	prof  *OpProfile
+}
+
+// pushdownReserveRows sizes the first arena of a filtered scan's
+// chunks: the filter's selectivity is unknown, and a point lookup
+// keeping one row in thousands should not pay for a full chunk.
+const pushdownReserveRows = 64
+
 // compileScan builds the streaming source for a heap scan. The chaos
 // site is consulted at open (first Next), serially, once per morsel —
 // the schedule depends only on table size and morsel configuration,
 // exactly as in the materializing executor — and a failed scan reads
-// and charges nothing.
-func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) *morselStream {
+// and charges nothing. With a pushed-down filter (pd non-nil) each
+// record is decoded only as far as the predicate's columns, and in
+// full only once it qualifies (late materialization).
+func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode, pd *pushdown) *morselStream {
 	morsels := storage.PartitionPages(v.Table.PageIDs(), ex.scanMorselPages())
 	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v), n: len(morsels)}
+	// Chunk arenas are sized for what a chunk can hold: never more rows
+	// than the table has, so scans of small tables stay small.
+	reserve := min(ex.morselRows(), v.Table.NumRows())
+	if pd != nil {
+		s.pushedProf = pd.prof
+		reserve = min(reserve, pushdownReserveRows)
+	}
 	s.preOpen = func() error {
 		// At least one consultation per scan, so empty tables keep
 		// their fault schedule. Injected latency selects on the run's
@@ -595,23 +640,47 @@ func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) *morselStream {
 		return nil
 	}
 	s.produce = func(m int, emit emitFn) error {
-		sink := &chunkSink{s: s, emit: emit, limit: ex.morselRows()}
+		sink := &chunkSink{s: s, emit: emit, limit: ex.morselRows(), reserve: reserve}
 		i := 0
 		var perr error
-		serr := v.Table.ScanPagesInto(morsels[m],
-			func(cols int) catalog.Row { return sink.row(cols) },
-			func(_ storage.RecordID, r catalog.Row) bool {
-				if i%ctxCheckRows == 0 {
-					if perr = rc.err(); perr != nil {
-						return false
-					}
-				}
-				i++
-				if perr = sink.push(r); perr != nil {
+		// tick runs once per live record, checking the context every
+		// ctxCheckRows records.
+		tick := func() bool {
+			if i%ctxCheckRows == 0 {
+				if perr = rc.err(); perr != nil {
 					return false
 				}
-				return true
+			}
+			i++
+			return true
+		}
+		var serr error
+		if pd == nil {
+			serr = v.Table.ScanPagesInto(morsels[m], sink.row, func(_ storage.RecordID, r catalog.Row) bool {
+				if !tick() {
+					return false
+				}
+				perr = sink.push(r)
+				return perr == nil
 			})
+		} else {
+			serr = v.Table.ScanPagesWhere(morsels[m], pd.reads,
+				func(r catalog.Row) (bool, error) {
+					if !tick() {
+						return false, perr
+					}
+					ok, err := pd.pred(r)
+					if !ok {
+						sink.dropped++
+					}
+					return ok, err
+				},
+				sink.row,
+				func(_ storage.RecordID, r catalog.Row) bool {
+					perr = sink.push(r)
+					return perr == nil
+				})
+		}
 		if perr == nil {
 			perr = serr
 		}
@@ -829,10 +898,10 @@ func (j *joinOp) Close() {
 // folded (aggregation state copies the values it keeps), so a
 // full-table aggregate holds only its groups, never its input.
 type aggOp struct {
-	ex    *Executor
-	rc    *runCtx
-	node  *plan.AggregateNode
-	scope *Scope
+	ex   *Executor
+	rc   *runCtx
+	node *plan.AggregateNode
+	agg  *boundAgg
 
 	in   BatchOperator
 	done bool
@@ -854,7 +923,7 @@ func (a *aggOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		if !ok {
 			break
 		}
-		if err := a.ex.aggregateChunk(a.rc, a.node, a.scope, part, c.rows); err != nil {
+		if err := a.ex.aggregateChunk(a.rc, a.agg, part, c.rows); err != nil {
 			a.rc.recycle(c)
 			a.err = err
 			return nil, false, err
@@ -928,33 +997,24 @@ func (s *sortOp) Close() { s.in.Close() }
 // expression.
 func (ex *Executor) sortRows(rc *runCtx, v *plan.SortNode, in []catalog.Row) ([]catalog.Row, error) {
 	schema := v.Input.Schema()
-	scope := ex.newScope(schema)
-	keyCol := make([]int, len(v.Keys))
+	b := ex.binder(schema)
+	keys := make([]Evaluator, len(v.Keys))
 	for ki, k := range v.Keys {
-		keyCol[ki] = -1
-		want := k.Expr.String()
-		for ci, name := range schema {
-			if name == want {
-				keyCol[ki] = ci
-				break
-			}
+		if ci := slices.Index(schema, k.Expr.String()); ci >= 0 {
+			keys[ki] = func(row catalog.Row) (catalog.Value, error) { return row[ci], nil }
+		} else {
+			keys[ki] = b.Value(k.Expr)
 		}
-	}
-	keyVal := func(ki int, row catalog.Row) (catalog.Value, error) {
-		if c := keyCol[ki]; c >= 0 {
-			return row[c], nil
-		}
-		return Eval(v.Keys[ki].Expr, scope, row, ex.Funcs)
 	}
 	var sortErr error
 	sort.SliceStable(in, func(i, j int) bool {
 		for ki, k := range v.Keys {
-			a, err := keyVal(ki, in[i])
+			a, err := keys[ki](in[i])
 			if err != nil {
 				sortErr = err
 				return false
 			}
-			b, err := keyVal(ki, in[j])
+			b, err := keys[ki](in[j])
 			if err != nil {
 				sortErr = err
 				return false
@@ -1090,24 +1150,40 @@ func (ex *Executor) profiled(op BatchOperator, n plan.Node) BatchOperator {
 func (ex *Executor) compile(rc *runCtx, n plan.Node) (BatchOperator, error) {
 	switch v := n.(type) {
 	case *plan.ScanNode:
-		return ex.compileScan(rc, v), nil
+		return ex.compileScan(rc, v, nil), nil
 	case *plan.IndexScanNode:
 		return ex.compileIndexScan(rc, v), nil
 	case *plan.VirtualScanNode:
 		return ex.compileVirtualScan(rc, v), nil
 	case *plan.FilterNode:
+		b := ex.binder(v.Input.Schema())
+		pred := b.Predicate(v.Cond)
+		// A filter directly over a heap scan is pushed into its decoder,
+		// unless it calls scalar functions (their arguments may need any
+		// column, and they are better run on fewer rows anyway).
+		if scan, ok := v.Input.(*plan.ScanNode); ok && !b.opaque {
+			pd := &pushdown{pred: pred, reads: b.reads, prof: ex.Profile.of(v)}
+			return ex.compileScan(rc, scan, pd), nil
+		}
 		in, err := ex.compile(rc, v.Input)
 		if err != nil {
 			return nil, err
 		}
-		t := &filterTransform{ex: ex, rc: rc, cond: v.Cond, scope: ex.newScope(v.Input.Schema()), prof: ex.Profile.of(v)}
+		t := &filterTransform{rc: rc, pred: pred, prof: ex.Profile.of(v)}
 		return fused(rc, in, t), nil
 	case *plan.ProjectNode:
 		in, err := ex.compile(rc, v.Input)
 		if err != nil {
 			return nil, err
 		}
-		t := &projectTransform{ex: ex, rc: rc, items: v.Items, scope: ex.newScope(v.Input.Schema()), prof: ex.Profile.of(v)}
+		b := ex.binder(v.Input.Schema())
+		items := make([]Evaluator, len(v.Items))
+		for i, it := range v.Items {
+			if _, star := it.Expr.(*sql.Star); !star {
+				items[i] = b.Value(it.Expr)
+			}
+		}
+		t := &projectTransform{rc: rc, items: items, prof: ex.Profile.of(v)}
 		return fused(rc, in, t), nil
 	case *plan.JoinNode:
 		return ex.compileJoin(rc, v)
@@ -1116,7 +1192,7 @@ func (ex *Executor) compile(rc *runCtx, n plan.Node) (BatchOperator, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := &aggOp{ex: ex, rc: rc, node: v, scope: ex.newScope(v.Input.Schema()), in: in}
+		op := &aggOp{ex: ex, rc: rc, node: v, agg: ex.bindAgg(v), in: in}
 		return ex.profiled(op, v), nil
 	case *plan.SortNode:
 		in, err := ex.compile(rc, v.Input)
@@ -1155,15 +1231,13 @@ func (ex *Executor) compileJoin(rc *runCtx, v *plan.JoinNode) (BatchOperator, er
 		left.Close()
 		return nil, err
 	}
-	lScope := NewScope(v.Left.Schema())
-	rScope := NewScope(v.Right.Schema())
-	lIdx, err := lScope.Resolve(colRefFromName(v.LeftCol))
+	lIdx, err := resolveColumn(v.Left.Schema(), colRefFromName(v.LeftCol))
 	if err != nil {
 		left.Close()
 		right.Close()
 		return nil, fmt.Errorf("exec: join left key: %w", err)
 	}
-	rIdx, err := rScope.Resolve(colRefFromName(v.RightCol))
+	rIdx, err := resolveColumn(v.Right.Schema(), colRefFromName(v.RightCol))
 	if err != nil {
 		left.Close()
 		right.Close()

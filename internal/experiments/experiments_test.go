@@ -66,3 +66,14 @@ func TestDeterminism(t *testing.T) {
 		t.Error("experiments must be deterministic for a fixed seed")
 	}
 }
+
+// TestE13Deterministic runs the sensitive-data discovery experiment
+// twice under one seed: every row, the regex baseline's recall
+// included, must be identical.
+func TestE13Deterministic(t *testing.T) {
+	a, _ := Run("E13", 7)
+	b, _ := Run("E13", 7)
+	if a.String() != b.String() {
+		t.Errorf("E13 differs across runs with one seed:\n%s\n%s", a, b)
+	}
+}

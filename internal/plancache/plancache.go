@@ -132,15 +132,29 @@ func (c *Cache) WatchEstimator(est any) {
 }
 
 func (c *Cache) shardFor(key string) *shard {
-	return c.shards[fnv32(key)%numShards]
+	return c.shards[shardHash(key)%numShards]
 }
 
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+// shardHash is FNV-1a over 8-byte words with a final avalanche, so the
+// shard probe costs one step per word of a long query text rather than
+// per byte. It is deterministic across processes, which keeps shard
+// assignment, and so per-shard eviction order, reproducible.
+func shardHash(s string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for ; len(s) >= 8; s = s[8:] {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		h = (h ^ w) * prime
 	}
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * prime
+	}
+	// The multiplies only carry low bits upward; fold the high bits back
+	// down before the caller takes a small modulus.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
 	return h
 }
 

@@ -54,9 +54,12 @@ func (m *MCTS) Search(root MCTSState, iterations int) (int, float64) {
 	for it := 0; it < iterations; it++ {
 		m.simulate(rn)
 	}
+	// Ties go to the earliest action, so equal visit counts pick the
+	// same action on every call.
 	bestA, bestVisits, bestVal := actions[0], -1.0, 0.0
-	for a, ch := range rn.children {
-		if ch.visits > bestVisits {
+	for _, a := range actions {
+		ch := rn.children[a]
+		if ch != nil && ch.visits > bestVisits {
 			bestVisits = ch.visits
 			bestA = a
 			bestVal = ch.total / ch.visits

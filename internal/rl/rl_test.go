@@ -129,6 +129,21 @@ func TestMCTSFindsBestArm(t *testing.T) {
 	}
 }
 
+// TestMCTSTieIsDeterministic searches with exactly one iteration per
+// root action, so every child ends on one visit: the tie must resolve
+// the same way on every call, not by map iteration order.
+func TestMCTSTieIsDeterministic(t *testing.T) {
+	first := -1
+	for i := 0; i < 100; i++ {
+		a, _ := NewMCTS(ml.NewRNG(4)).Search(pickEnv{k: 8, picked: -1}, 8)
+		if first < 0 {
+			first = a
+		} else if a != first {
+			t.Fatalf("call %d chose %d, first call %d", i, a, first)
+		}
+	}
+}
+
 func TestMCTSPanicsOnTerminal(t *testing.T) {
 	defer func() {
 		if recover() == nil {

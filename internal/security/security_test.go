@@ -96,6 +96,20 @@ func TestRegexRulesCanonicalFormats(t *testing.T) {
 	}
 }
 
+// TestRegexRulesTieIsDeterministic pins the majority vote's tie-break:
+// a column whose values split evenly between kinds must classify the
+// same way on every call, not by map iteration order.
+func TestRegexRulesTieIsDeterministic(t *testing.T) {
+	r := RegexRules{}
+	tied := []string{"555-123-4567", "123-45-6789", "red", "4111 1111 1111 1111"}
+	want := r.Classify(tied)
+	for i := 0; i < 100; i++ {
+		if got := r.Classify(tied); got != want {
+			t.Fatalf("call %d: tied vote classified %v, first call %v", i, got, want)
+		}
+	}
+}
+
 func TestLearnedDiscovererBeatsRegexRecall(t *testing.T) {
 	rng := ml.NewRNG(2)
 	train := GenerateColumns(rng, 400)
